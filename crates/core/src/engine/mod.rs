@@ -23,12 +23,11 @@
 pub(crate) mod incremental;
 pub(crate) mod naive;
 
-use std::sync::Arc;
-
 use crate::bits::TypeSet;
 use crate::ids::TypeId;
 use crate::model::{Schema, TypeSlot};
 use crate::obs::RecomputeScope;
+use crate::spine::Spine;
 
 /// Shared failure message for a `P_e` cycle reaching a derivation engine.
 /// Operations reject cycles up front and snapshot loads validate before
@@ -113,12 +112,11 @@ impl BatchState {
 
 /// Recompute the whole lattice with the configured engine.
 pub(crate) fn recompute_all(schema: &mut Schema) {
-    let mut derived = std::mem::take(&mut schema.derived);
-    derived.clear();
-    derived.resize(schema.types.len(), Arc::default());
+    let obs = schema.obs.as_deref();
+    let mut derived = Spine::filled_default(schema.types.len());
     let n = match schema.engine {
-        EngineKind::Naive => naive::derive_all(&schema.types, &mut derived),
-        EngineKind::Incremental => incremental::derive_full(&schema.types, &mut derived),
+        EngineKind::Naive => naive::derive_all(obs, &schema.types, &mut derived),
+        EngineKind::Incremental => incremental::derive_full(obs, &schema.types, &mut derived),
     };
     schema.derived = derived;
     schema.stats.full_recomputes += 1;
@@ -141,10 +139,8 @@ pub(crate) fn recompute_all(schema: &mut Schema) {
 pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind: ChangeKind) {
     match schema.engine {
         EngineKind::Naive => {
-            let mut derived = std::mem::take(&mut schema.derived);
-            derived.clear();
-            derived.resize(schema.types.len(), Arc::default());
-            let n = naive::derive_all(&schema.types, &mut derived);
+            let mut derived = Spine::filled_default(schema.types.len());
+            let n = naive::derive_all(schema.obs.as_deref(), &schema.types, &mut derived);
             schema.derived = derived;
             schema.stats.full_recomputes += 1;
             schema.stats.types_derived += n as u64;
@@ -155,11 +151,16 @@ pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind
             }
         }
         EngineKind::Incremental => {
-            let mut derived = std::mem::take(&mut schema.derived);
-            derived.resize(schema.types.len(), Arc::default());
-            let (n, depth) =
-                incremental::derive_scoped(&schema.types, &schema.rev, &mut derived, changed, kind);
-            schema.derived = derived;
+            // Every arena push adds a derived row alongside its slot.
+            debug_assert_eq!(schema.derived.len(), schema.types.len());
+            let (n, depth) = incremental::derive_scoped(
+                schema.obs.as_deref(),
+                &schema.types,
+                &schema.rev,
+                &mut schema.derived,
+                changed,
+                kind,
+            );
             if n == 0 {
                 schema.stats.noop_recomputes += 1;
             } else {
@@ -183,7 +184,7 @@ pub(crate) fn recompute_after_many(schema: &mut Schema, changed: &[TypeId], kind
 /// for an empty schema) — the full-recompute analogue of the per-scope
 /// depth the incremental engine reports. Only computed when an observer is
 /// attached.
-pub(crate) fn lattice_depth(types: &[Arc<TypeSlot>]) -> u64 {
+pub(crate) fn lattice_depth(types: &Spine<TypeSlot>) -> u64 {
     let order = topo_order(types).expect(ACYCLIC_MSG);
     let mut level = vec![0u64; types.len()];
     let mut depth = 0u64;
@@ -204,7 +205,7 @@ pub(crate) fn lattice_depth(types: &[Arc<TypeSlot>]) -> u64 {
 /// essential supertypes. Returns `None` if the `P_e` graph has a cycle
 /// (never the case for schemas built through [`crate::ops`], which reject
 /// cycles up front; deserialized snapshots are validated before install).
-pub(crate) fn topo_order(types: &[Arc<TypeSlot>]) -> Option<Vec<TypeId>> {
+pub(crate) fn topo_order(types: &Spine<TypeSlot>) -> Option<Vec<TypeId>> {
     let n = types.len();
     let mut remaining: Vec<usize> = vec![0; n];
     let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -254,7 +255,7 @@ pub(crate) fn topo_order(types: &[Arc<TypeSlot>]) -> Option<Vec<TypeId>> {
 /// This holds for compounded batches too: each absorbed operation's own
 /// seeds cover the edge(s) it changed, and edges *below* a seed are
 /// traversed as they are now, after all edits.
-pub(crate) fn down_set(types: &[Arc<TypeSlot>], rev: &[Arc<TypeSet>], seeds: &[TypeId]) -> TypeSet {
+pub(crate) fn down_set(types: &Spine<TypeSlot>, rev: &Spine<TypeSet>, seeds: &[TypeId]) -> TypeSet {
     let mut out = TypeSet::new();
     let mut stack: Vec<TypeId> = Vec::new();
     for &t in seeds {
@@ -308,7 +309,7 @@ mod tests {
         // Forge a cycle directly in the inputs (ops would reject this).
         let a = s.type_by_name("a").unwrap();
         let c = s.type_by_name("c").unwrap();
-        Arc::make_mut(&mut s.types[a.index()]).pe.insert(c);
+        s.types.make_mut(None, a.index()).pe.insert(c);
         assert!(topo_order(&s.types).is_none());
     }
 

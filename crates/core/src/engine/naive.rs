@@ -33,21 +33,28 @@ use std::sync::Arc;
 use crate::bits::{PropSet, TypeSet};
 use crate::ids::TypeId;
 use crate::model::{DerivedType, TypeSlot};
+use crate::obs::EvolveObs;
+use crate::spine::Spine;
 
 use super::{topo_order, ACYCLIC_MSG};
 
 /// Re-derive every live type. Returns the number of per-type derivations.
-pub(crate) fn derive_all(types: &[Arc<TypeSlot>], derived: &mut [Arc<DerivedType>]) -> usize {
+pub(crate) fn derive_all(
+    obs: Option<&EvolveObs>,
+    types: &Spine<TypeSlot>,
+    derived: &mut Spine<DerivedType>,
+) -> usize {
     let order = topo_order(types).expect(ACYCLIC_MSG);
     for &t in &order {
-        derived[t.index()] = Arc::new(derive_one(types, derived, t));
+        let row = derive_one(types, derived, t);
+        derived.set(obs, t.index(), Arc::new(row));
     }
     order.len()
 }
 
 /// Derive one type from the axioms, assuming all its essential supertypes
 /// have already been derived.
-fn derive_one(types: &[Arc<TypeSlot>], derived: &[Arc<DerivedType>], t: TypeId) -> DerivedType {
+fn derive_one(types: &Spine<TypeSlot>, derived: &Spine<DerivedType>, t: TypeId) -> DerivedType {
     let pe = &types[t.index()].pe;
     let ne = &types[t.index()].ne;
 

@@ -84,6 +84,7 @@ pub mod oracle;
 pub mod parallel;
 pub mod project;
 pub mod snapshot;
+pub mod spine;
 
 pub use analysis::merge::{MergeCertificate, MergeCheck, MergeConflict};
 pub use analysis::{
@@ -109,7 +110,7 @@ pub use lint::{
     apply_fixes, canonicalize, lint_history, lint_schema, lint_trace, Diagnostic, FixEdit, FixIt,
     Lint, Location, Reference, Registry, RuleId, Severity,
 };
-pub use model::{DerivedType, Schema};
+pub use model::{DerivedType, Schema, Sharing};
 pub use obs::{
     EvolveObs, EvolveTracer, MetricsRegistry, MetricsSnapshot, RecomputeScope, SpanData, SpanEvent,
 };

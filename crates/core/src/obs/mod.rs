@@ -41,7 +41,8 @@ pub mod names {
     pub const ENGINE_NOOP: &str = "engine.noop_recomputes";
     /// Total per-type derivations across all recomputations.
     pub const ENGINE_TYPES_DERIVED: &str = "engine.types_derived";
-    /// `Arc::make_mut` copies actually performed on shared schema spines.
+    /// Copy-on-write copies of schema storage still shared with another
+    /// version: records, spine chunks and name-index shards, one each.
     pub const ENGINE_COW_COPIES: &str = "engine.cow_copies";
     /// Histogram: types re-derived per recomputation.
     pub const ENGINE_AFFECTED: &str = "engine.affected_set_size";
@@ -300,7 +301,8 @@ impl EvolveObs {
         });
     }
 
-    /// An `Arc::make_mut` on a shared spine actually copied.
+    /// A copy-on-write write found its record, chunk or shard shared and
+    /// copied it.
     #[inline]
     pub(crate) fn on_cow_copy(&self) {
         self.cow_copies.inc();

@@ -39,6 +39,7 @@ use crate::error::{Result, SchemaError};
 use crate::history::RecordedOp;
 use crate::ids::{PropId, TypeId};
 use crate::model::Schema;
+use crate::spine::Spine;
 
 /// Outcome of [`Schema::apply_plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +100,20 @@ fn run_class(master: &Schema, ops: &[RecordedOp], class: &PlanClass) -> Result<C
     })
 }
 
+/// The shared handle of `spine[i]`, for adopting a record below `len`.
+fn shared<T>(spine: &Spine<T>, i: usize) -> Arc<T> {
+    Arc::clone(spine.get_arc(i).expect("index below len"))
+}
+
+/// Adopt `src[i]` as `dst[i]` (a refcount bump) when both hold index `i`.
+fn adopt<T>(dst: &mut Spine<T>, src: &Spine<T>, i: usize) -> bool {
+    let fits = i < src.len() && i < dst.len();
+    if fits {
+        dst.set(None, i, shared(src, i));
+    }
+    fits
+}
+
 impl Schema {
     /// Carry one merged type slot's liveness into the master's dense
     /// `live` bitset (the word-iterable twin of the per-slot flags).
@@ -129,48 +144,46 @@ impl Schema {
     /// newly allocated indexes resolve. Derived rows and the reverse
     /// index are *not* trusted from the clone beyond the tail: the stage
     /// merge rebuilds/rederives them on the master.
+    ///
+    /// Merge copies are bookkeeping, not evolution cost, so the spines are
+    /// written without an observer: they never count as
+    /// `engine.cow_copies`.
     fn merge_class_run(&mut self, run: &ClassRun, class: &PlanClass) {
-        if run.local.types.len() > self.types.len() {
-            for i in self.types.len()..run.local.types.len() {
-                self.types.push(run.local.types[i].clone());
-                self.derived.push(run.local.derived[i].clone());
-                self.rev.push(run.local.rev[i].clone());
-                self.sync_live_type(i, &run.local);
+        let local = &run.local;
+        if local.types.len() > self.types.len() {
+            for i in self.types.len()..local.types.len() {
+                self.types.push(None, shared(&local.types, i));
+                self.derived.push(None, shared(&local.derived, i));
+                self.rev.push(None, shared(&local.rev, i));
+                self.sync_live_type(i, local);
             }
         }
-        if run.local.props.len() > self.props.len() {
-            for i in self.props.len()..run.local.props.len() {
-                self.props.push(run.local.props[i].clone());
-                self.sync_live_prop(i, &run.local);
+        if local.props.len() > self.props.len() {
+            for i in self.props.len()..local.props.len() {
+                self.props.push(None, shared(&local.props, i));
+                self.sync_live_prop(i, local);
             }
         }
         for slot in &class.writes {
             match slot {
                 Slot::Type(i) => {
-                    if *i < run.local.types.len() && *i < self.types.len() {
-                        self.types[*i] = run.local.types[*i].clone();
-                        self.sync_live_type(*i, &run.local);
+                    if adopt(&mut self.types, &local.types, *i) {
+                        self.sync_live_type(*i, local);
                     }
                 }
                 Slot::Prop(i) => {
-                    if *i < run.local.props.len() && *i < self.props.len() {
-                        self.props[*i] = run.local.props[*i].clone();
-                        self.sync_live_prop(*i, &run.local);
+                    if adopt(&mut self.props, &local.props, *i) {
+                        self.sync_live_prop(*i, local);
                     }
                 }
-                Slot::Name(name) => {
-                    // Deliberately *not* the observed cow() helper: merge
-                    // copies are bookkeeping, not evolution cost.
-                    let map = Arc::make_mut(&mut self.by_name);
-                    match run.local.by_name.get(name) {
-                        Some(id) => {
-                            map.insert(name.clone(), *id);
-                        }
-                        None => {
-                            map.remove(name);
-                        }
+                Slot::Name(name) => match local.by_name.get(name) {
+                    Some(id) => {
+                        self.by_name.insert(None, name.clone(), id);
                     }
-                }
+                    None => {
+                        self.by_name.remove(None, name);
+                    }
+                },
                 Slot::Root => self.root = run.local.root,
                 Slot::Base => self.base = run.local.base,
                 // Arena cursors are the tail extensions above; the cycle
@@ -187,9 +200,7 @@ impl Schema {
         // row a post-merge master recomputation would produce. Rows are
         // `Arc`s, so adoption is a pointer bump, not a copy.
         for i in class.reach.iter() {
-            if i < run.local.derived.len() && i < self.derived.len() {
-                self.derived[i] = run.local.derived[i].clone();
-            }
+            adopt(&mut self.derived, &local.derived, i);
         }
     }
 

@@ -28,6 +28,7 @@ use crate::config::{LatticeConfig, Pointedness, Rootedness};
 use crate::engine::EngineKind;
 use crate::ids::{PropId, TypeId};
 use crate::model::{PropRecord, Schema, TypeSlot};
+use crate::spine::{NameShards, Spine};
 
 /// Errors raised while parsing a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -282,8 +283,9 @@ fn assemble(
     root: Option<TypeId>,
     base: Option<TypeId>,
 ) -> Result<Schema, SnapshotError> {
+    let types: Spine<TypeSlot> = types.into_iter().map(std::sync::Arc::new).collect();
     // Validate inputs before deriving anything.
-    let mut by_name = std::collections::HashMap::new();
+    let mut by_name = NameShards::default();
     for (i, t) in types.iter().enumerate() {
         if !t.alive {
             continue;
@@ -312,7 +314,6 @@ fn assemble(
             }
         }
     }
-    let types: Vec<std::sync::Arc<TypeSlot>> = types.into_iter().map(std::sync::Arc::new).collect();
     if crate::engine::topo_order(&types).is_none() {
         return Err(SnapshotError::InvalidInputs(
             "P_e graph contains a cycle (Axiom of Acyclicity)".into(),
@@ -335,16 +336,16 @@ fn assemble(
 
     let mut schema = Schema {
         config,
-        derived: vec![Default::default(); types.len()],
+        derived: Spine::new(),
         types,
         props: props.into_iter().map(std::sync::Arc::new).collect(),
-        by_name: std::sync::Arc::new(by_name),
+        by_name: by_name.into(),
         root,
         base,
         engine,
         version: 0,
         stats: Default::default(),
-        rev: Vec::new(),
+        rev: Spine::new(),
         live: Default::default(),
         live_props: Default::default(),
         batch: None,

@@ -5,9 +5,22 @@ use axiombase_core::{oracle, EngineKind, LatticeConfig, SharedSchema};
 use axiombase_workload::{apply_random_ops, apply_random_ops_batched, LatticeGen, OpMix};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Readers never observe a torn or axiom-violating schema while a writer
 /// evolves it; versions observed by each reader are monotone.
+/// Block the writer until a reader has checked a version: on a loaded
+/// machine the writes can otherwise all finish before any reader thread
+/// is first scheduled, and the readers then check nothing. The deadline
+/// keeps a reader that panicked from hanging the test; its panic fails the
+/// scope.
+fn wait_for_first_check(checked: &AtomicU64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while checked.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn readers_see_consistent_monotone_versions() {
     let base = LatticeGen {
@@ -39,6 +52,7 @@ fn readers_see_consistent_monotone_versions() {
                 }
             });
         }
+        wait_for_first_check(&checked);
         // Writer.
         for step in 0..150u64 {
             shared
@@ -127,6 +141,7 @@ fn batched_writer_readers_verify_every_version() {
                 }
             });
         }
+        wait_for_first_check(&checked);
         // Writer: 40 batches of 8 operations each; readers snapshotting
         // mid-batch must only ever see the pre-batch version.
         for step in 0..40u64 {
